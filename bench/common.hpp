@@ -6,6 +6,7 @@
 // scale (3 seeds, full learning-rate grids, larger budgets).
 #pragma once
 
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
@@ -206,10 +207,19 @@ namespace yfb {
 // trainer ("sync", default) or the sharded parameter server ("server",
 // real threads; YF_WORKERS worker replicas over YF_SHARDS shards). With
 // one worker the server path reproduces the synchronous trajectory, so
-// Table 2 numbers are directly comparable across engines.
+// Table 2 numbers are directly comparable across engines. Any other value
+// ends the bench before it trains: a typo (or a name some other tool
+// uses, like "socket") must not silently run the synchronous trainer.
 // ---------------------------------------------------------------------------
 
-inline std::string engine() { return yf::core::env_str("YF_ENGINE", "sync"); }
+inline std::string engine() {
+  std::string v = yf::core::env_str("YF_ENGINE", "sync");
+  if (v != "sync" && v != "server") {
+    std::fprintf(stderr, "error: unknown YF_ENGINE \"%s\" (want sync|server)\n", v.c_str());
+    std::exit(2);
+  }
+  return v;
+}
 
 inline std::int64_t env_int(const char* name, std::int64_t fallback) {
   // Checked parse (core/env.hpp): malformed values warn and fall back

@@ -1,16 +1,15 @@
-// Microbenchmarks (google-benchmark): fused arena kernels vs the
-// historical per-tensor hot paths they replaced, and the scalar vs SIMD
-// kernel backends against each other.
+// Microbenchmarks (google-benchmark): fused arena kernels, the tuner
+// measurement against the historical path it replaced, and the scalar vs
+// SIMD kernel backends against each other.
 //
-// The "Old*" benchmarks replicate the seed implementations faithfully:
-// per-parameter tensor walks (three in-place passes for momentum, an
-// operator[] element loop for Adam) and the tuner's flatten-copy +
-// square() temporary + two-sweep EWMA measurement. The "Fused*"
-// benchmarks run the production path — one core::kernels sweep over the
-// ParamArena — once per kernel backend (the /scalar and /simd capture
-// suffix; simd runs skip on machines without AVX2). Args are
-// {num_params, param_size}: many small parameters stress per-tensor
-// dispatch overhead, one big parameter isolates the pure sweep cost.
+// BM_OldTunerMeasure replicates the seed implementation faithfully: the
+// tuner's flatten-copy + square() temporary + two-sweep EWMA
+// measurement. The "Fused*" benchmarks run the production path — one
+// core::kernels sweep over the ParamArena — once per kernel backend (the
+// /scalar and /simd capture suffix; simd runs skip on machines without
+// AVX2). Args are {num_params, param_size}: many small parameters stress
+// per-tensor dispatch overhead, one big parameter isolates the pure
+// sweep cost.
 // Results land in BENCH_micro_kernels.json via yfb::JsonReporter.
 #include <benchmark/benchmark.h>
 
@@ -81,25 +80,7 @@ void set_items(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0) * state.range(1));
 }
 
-// -- Momentum step: old three-pass per-tensor walk vs one fused sweep. -------
-
-void BM_OldPerTensorMomentum(benchmark::State& state) {
-  auto params = make_params(state.range(0), state.range(1));
-  std::vector<t::Tensor> velocity;
-  for (const auto& p : params) velocity.push_back(t::Tensor::zeros(p.value().shape()));
-  const double lr = 1e-6, mu = 0.9;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      auto& v = velocity[i];
-      const auto& g = params[i].grad();
-      v.mul_(mu);
-      v.add_(g, -lr);
-      params[i].value().add_(v);
-    }
-  }
-  set_items(state);
-}
-BENCHMARK(BM_OldPerTensorMomentum)->Args({256, 64})->Args({1, 100000});
+// -- Momentum step: one fused sweep per kernel backend. ---------------------
 
 void BM_FusedArenaMomentum(benchmark::State& state, core::KernelBackend backend) {
   BackendScope scope(state, backend);
@@ -116,36 +97,7 @@ BENCHMARK_CAPTURE(BM_FusedArenaMomentum, simd, core::KernelBackend::kSimd)
     ->Args({256, 64})
     ->Args({1, 100000});
 
-// -- Adam step: old operator[] element loop vs one fused sweep. --------------
-
-void BM_OldPerTensorAdam(benchmark::State& state) {
-  auto params = make_params(state.range(0), state.range(1));
-  std::vector<t::Tensor> ms, vs;
-  for (const auto& p : params) {
-    ms.push_back(t::Tensor::zeros(p.value().shape()));
-    vs.push_back(t::Tensor::zeros(p.value().shape()));
-  }
-  const double lr = 1e-6, b1 = 0.9, b2 = 0.999, eps = 1e-8;
-  std::int64_t iter = 0;
-  for (auto _ : state) {
-    const auto tstep = static_cast<double>(++iter);
-    const double bc1 = 1.0 - std::pow(b1, tstep);
-    const double bc2 = 1.0 - std::pow(b2, tstep);
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      auto& m = ms[i];
-      auto& v = vs[i];
-      const auto& g = params[i].grad();
-      auto& x = params[i].value();
-      for (std::int64_t j = 0; j < g.size(); ++j) {
-        m[j] = b1 * m[j] + (1.0 - b1) * g[j];
-        v[j] = b2 * v[j] + (1.0 - b2) * g[j] * g[j];
-        x[j] -= lr * (m[j] / bc1) / (std::sqrt(v[j] / bc2) + eps);
-      }
-    }
-  }
-  set_items(state);
-}
-BENCHMARK(BM_OldPerTensorAdam)->Args({256, 64})->Args({1, 100000});
+// -- Adam step: one fused sweep per kernel backend. -------------------------
 
 void BM_FusedArenaAdam(benchmark::State& state, core::KernelBackend backend) {
   BackendScope scope(state, backend);

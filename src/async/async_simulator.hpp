@@ -4,8 +4,8 @@
 // fashion, i.e. the gradient is delayed for 15 iterations": each step
 // computes a gradient at the *current* iterate, enqueues it, and applies
 // the gradient that is now `staleness` steps old. Single-threaded, so runs
-// are exactly reproducible per seed; a real multi-threaded engine lives in
-// async/threaded_trainer for integration testing.
+// are exactly reproducible per seed; the real multi-threaded engine is
+// the sharded parameter server (async/param_server).
 //
 // Optionally closes the momentum loop (Algorithm 5) when driving a
 // YellowFin optimizer: measured total momentum feeds the negative

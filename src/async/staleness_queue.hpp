@@ -1,24 +1,14 @@
-// Staleness queues: the round-robin delay model and a bounded blocking
-// channel for real producer/consumer pipelines.
+// Staleness queue: the round-robin delay model of the async simulator.
 //
 // `StalenessQueue` models M round-robin workers exactly: with tau = M - 1,
 // the gradient applied at step t was computed against the model at step
 // t - tau (Section 5.2 protocol). Pushing the gradient computed at the
 // current iterate and popping once the queue holds tau+1 entries
 // reproduces that, single-threaded and deterministic.
-//
-// `BlockingStalenessQueue` carries the same delay semantics onto real
-// threads: producers block once `capacity` gradients are in flight
-// (bounding memory and pipeline depth), consumers block until an entry is
-// at least `staleness` steps old, and `close()` drains the pipeline. The
-// synchronization core (detail::ChannelSync) is non-template and lives in
-// staleness_queue.cpp.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -50,97 +40,6 @@ class StalenessQueue {
  private:
   std::int64_t staleness_;
   std::deque<T> queue_;
-};
-
-namespace detail {
-
-/// Non-template synchronization core of BlockingStalenessQueue: tracks the
-/// in-flight count, blocks producers at capacity and consumers until an
-/// entry is older than the staleness bound (or the channel is closed).
-class ChannelSync {
- public:
-  ChannelSync(std::int64_t staleness, std::int64_t capacity);
-
-  /// Block until a slot is free or the channel closes. On success the slot
-  /// is reserved; returns false when closed. Consumers only see the entry
-  /// after commit_push, so the payload can land outside this lock.
-  bool begin_push();
-  /// Publish a reserved entry to consumers.
-  void commit_push();
-  /// Block until an entry at least `staleness` steps old is committed, or
-  /// the channel is closed and non-empty (drain). On success the entry is
-  /// claimed; returns false when closed and drained.
-  bool begin_pop();
-  /// Release the claimed entry's slot to producers (payload removed).
-  void commit_pop();
-
-  /// No further pushes; consumers drain the remaining entries regardless
-  /// of their age, then begin_pop returns false.
-  void close();
-
-  std::int64_t size() const;
-  bool closed() const;
-  std::int64_t staleness() const { return staleness_; }
-  std::int64_t capacity() const { return capacity_; }
-
- private:
-  const std::int64_t staleness_;
-  const std::int64_t capacity_;
-  mutable std::mutex mu_;
-  std::condition_variable slot_free_;
-  std::condition_variable entry_ready_;
-  std::int64_t reserved_ = 0;   ///< slots held by producers (>= committed_)
-  std::int64_t committed_ = 0;  ///< entries visible to consumers
-  bool closed_ = false;
-};
-
-}  // namespace detail
-
-/// Thread-safe bounded FIFO with staleness-delay semantics (see header
-/// comment). `capacity` must exceed `staleness`, otherwise consumers could
-/// never see an entry old enough to pop.
-template <typename T>
-class BlockingStalenessQueue {
- public:
-  BlockingStalenessQueue(std::int64_t staleness, std::int64_t capacity)
-      : sync_(staleness, capacity) {}
-
-  /// Block until the pipeline has room, then enqueue. Returns false (and
-  /// drops `value`) when the queue was closed.
-  bool push(T value) {
-    if (!sync_.begin_push()) return false;
-    {
-      std::scoped_lock lock(items_mu_);
-      items_.push_back(std::move(value));
-    }
-    sync_.commit_push();
-    return true;
-  }
-
-  /// Block until an entry `staleness` steps old exists (or the closed
-  /// queue drains); nullopt once closed and empty.
-  std::optional<T> pop() {
-    if (!sync_.begin_pop()) return std::nullopt;
-    T out = [&] {
-      std::scoped_lock lock(items_mu_);
-      T front = std::move(items_.front());
-      items_.pop_front();
-      return front;
-    }();
-    sync_.commit_pop();
-    return out;
-  }
-
-  void close() { sync_.close(); }
-  bool closed() const { return sync_.closed(); }
-  std::int64_t pending() const { return sync_.size(); }
-  std::int64_t staleness() const { return sync_.staleness(); }
-  std::int64_t capacity() const { return sync_.capacity(); }
-
- private:
-  detail::ChannelSync sync_;
-  std::mutex items_mu_;
-  std::deque<T> items_;
 };
 
 }  // namespace yf::async

@@ -39,23 +39,11 @@
 //    warm-up step -- record-time caches may hold views of parent
 //    storage, and ops revalidate them per step only against storage
 //    identity.
-//
-// Parallel backward (DESIGN.md §10): when more than one backward thread
-// is configured (set_backward_threads / YF_BACKWARD_THREADS) or
-// completion hooks are installed, backward_from runs a dependency-
-// counting ready-queue engine over the cached order instead of the
-// serial loop. Per-node sequence gates force every gradient accumulation
-// into a shared parent to happen in the canonical (serial) order, so the
-// resulting trajectory is bit-identical for every thread count.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <exception>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -86,28 +74,11 @@ class GraphTape {
   core::Workspace& workspace() { return ws_; }
   const core::Workspace& workspace() const { return ws_; }
 
-  // -- Fusion stats (DESIGN.md §13). ----------------------------------------
-  /// Nodes currently folded into fused sweeps (chain members, tails
-  /// included).
-  std::int64_t fused_nodes() const { return fused_nodes_; }
-  /// Fused chains currently active.
-  std::int64_t fusion_chains() const { return fusion_chains_; }
-  /// Bytes of intermediate value+grad storage eliminated by dropping
-  /// chain-interior buffers from the workspace.
-  std::int64_t eliminated_intermediate_bytes() const { return eliminated_bytes_; }
-  /// Times the fusion pass rebuilt the tape (fires at warm-up and again
-  /// after any truncation, once the structure re-stabilizes).
-  std::int64_t fusion_rebuilds() const { return fusion_rebuilds_; }
-
   // -- Op-author interface (autograd/ops.cpp). ------------------------------
   struct Frame {
     Node* node = nullptr;
     NodePtr handle;     ///< owning (heap) or non-owning alias (tape)
     bool fresh = true;  ///< install backward_fn / scratch when true
-    /// The value is produced by a fused sweep (or not at all, for a
-    /// bufferless chain interior) -- the op must skip its elementwise
-    /// compute call. Closures are still installed when `fresh`.
-    bool skip_compute = false;
   };
 
   /// Match-or-create the node at the cursor. `attrs` are immutable op
@@ -124,78 +95,11 @@ class GraphTape {
   /// unchanged. Invoked via Variable::backward().
   void backward_from(Node* out, const tensor::Tensor& seed);
 
-  /// An external reader (Variable::value/grad on a stale handle) wants to
-  /// observe a bufferless fused-chain interior: unfuse the owning chain,
-  /// restoring heap buffers with this step's values. No-op for ordinary
-  /// nodes. Fused ops themselves never call this -- they read shapes via
-  /// fuse_dims -- so a chain is only ever dissolved by genuinely foreign
-  /// observation or structure change (DESIGN.md §13).
-  void materialize_interior(Node* n);
-
-  // -- Parallel engine configuration. ---------------------------------------
-
-  /// Backward participant count for this tape. 1 = serial replay (the
-  /// default), n > 1 = the calling thread plus up to n-1 pool helpers
-  /// drain the ready queue together, 0 = match the pool fan-out. A
-  /// negative value reverts to the process default (YF_BACKWARD_THREADS
-  /// when set, else 1). Backward invoked from inside a pool worker (the
-  /// param-server replicas) always runs with zero helpers.
-  void set_backward_threads(int n) { backward_threads_ = n; }
-  int backward_threads() const;
-
-  /// Observer for backward/optimizer overlap: fires while backward is
-  /// still draining, on whichever engine thread completed the group.
-  /// Callbacks must only touch state whose gradient contributions are
-  /// complete (the group's leaves) and must not record ops or re-enter
-  /// the tape.
-  class BackwardHooks {
-   public:
-    virtual ~BackwardHooks() = default;
-    /// All registered leaves of `group` have final gradients for this
-    /// pass, and nothing later in backward reads their values.
-    virtual void on_group_complete(std::size_t group) = 0;
-  };
-
-  /// A leaf node assigned to a completion group (groups index [0,
-  /// group_count) passed to set_backward_hooks).
-  struct LeafGroup {
-    Node* node = nullptr;
-    std::size_t group = 0;
-  };
-
-  /// Install (or clear, with nullptr) completion hooks. `leaves` assigns
-  /// graph leaves -- typically arena parameters -- to groups; a group
-  /// fires once per backward pass when its last in-order leaf completes.
-  /// Leaves absent from the traversal of the current output never fire;
-  /// callers sweep unfired groups after backward returns. Installing
-  /// hooks forces the engine path even at one thread (zero helpers).
-  void set_backward_hooks(BackwardHooks* hooks, std::span<const LeafGroup> leaves,
-                          std::size_t group_count);
-  BackwardHooks* backward_hooks() const { return hooks_; }
-
  private:
   bool matches(const Node& n, const char* sig, std::span<const NodePtr> parents,
                std::span<const std::int64_t> dims, std::span<const double> attrs,
                bool requires_grad) const;
   void build_order(Node* out);
-  void build_plan();
-  // -- Fusion pass (tape.cpp; DESIGN.md §13). -------------------------------
-  void maybe_fuse();
-  void finalize_fusion_plan();
-  void abandon_fusion_plan();
-  void complete_chain(Node& tail);
-  void run_fused_forward(Node& tail);
-  void run_fused_backward(Node& tail);
-  void unfuse_chain(std::int32_t chain);
-  void repair_node(Node& n);
-  void truncate_fusion(std::size_t cut);
-  void unfuse_all();
-  void ensure_group_counts();
-  void run_engine(Node* out, const tensor::Tensor& seed, int threads);
-  void engine_worker();
-  void execute_node(std::int32_t index);
-  void decrement_pending(std::int32_t index);
-  static void helper_entry(void* ctx);
 
   std::deque<Node> nodes_;  ///< deque: stable addresses under growth
   std::size_t cursor_ = 0;
@@ -215,105 +119,10 @@ class GraphTape {
     std::size_t next_parent;
   };
   std::vector<DfsFrame> dfs_stack_;
-  std::uint64_t order_visit_epoch_ = 0;  ///< DFS stamp of the cached order
-
-  // -- Fusion state (DESIGN.md §13). ------------------------------------------
-  //
-  // Chains live behind unique_ptr so Node::fused stays stable while the
-  // vector grows; a slot is reset to null when its chain is unfused. The
-  // plan is keyed by recording index and only consulted while the fused
-  // rebuild step is re-recording the graph (plan_active_).
-  struct FusePlanEntry {
-    const char* sig = nullptr;
-    std::int64_t elems = 0;
-    std::uint8_t kind = 0;   ///< 1 + FusedOpKind, matching Node::fuse_kind
-    std::int8_t role = 0;    ///< 0 none, 1 interior, 2 tail
-    std::int32_t chain = -1;
-    std::int32_t step = -1;
-  };
-  std::vector<std::unique_ptr<FusedChain>> chains_;
-  std::vector<FusePlanEntry> fuse_plan_;
-  bool plan_active_ = false;
-  std::uint64_t fusion_checked_epoch_ = ~std::uint64_t{0};  ///< last structure scanned
-  std::int64_t step_start_fresh_ = 0;  ///< fresh_ at begin_step (stability check)
-  std::int64_t fused_nodes_ = 0;
-  std::int64_t fusion_chains_ = 0;
-  std::int64_t eliminated_bytes_ = 0;
-  std::int64_t fusion_rebuilds_ = 0;
-  // Fusion-scan scratch (consumer edge counts), reused across scans.
-  std::vector<std::int32_t> fuse_edges_;
-  std::vector<Node*> fuse_single_;
-
-  // -- Parallel engine plan (rebuilt together with order_). -------------------
-  //
-  // order_ is post-order (parents before children); execution walks it
-  // back-to-front, so in *execution order* higher indices run first and
-  // "the next consumer of P after C" is P's consumer with the largest
-  // order index strictly below C's. The plan stores, per node i:
-  //
-  //  * its distinct requires-grad parents (CSR: par_off_/par_idx_),
-  //    deduplicated so mul(x, x) counts x once;
-  //  * per parent edge, the order index of the *next* consumer of that
-  //    parent in execution order, or -1 for the last one
-  //    (next_consumer_, parallel to par_idx_);
-  //  * init_pending_[i] = (#consumers of i) + (#parent edges where i is
-  //    not that parent's first consumer in execution order). The first
-  //    term gates on the node's gradient being complete; the second is
-  //    the sequence gate that serializes sibling accumulations into a
-  //    shared parent in canonical order. Executing a node decrements its
-  //    next sibling's gate and each parent's consumer count; a count
-  //    reaching zero pushes that node onto the ready ring. The serial
-  //    order satisfies every gate, so the engine cannot deadlock, and
-  //    every accumulation happens in the serial order, so results are
-  //    bit-identical at any thread count.
-  std::vector<std::int32_t> par_off_;
-  std::vector<std::int32_t> par_idx_;
-  std::vector<std::int32_t> next_consumer_;
-  std::vector<std::int32_t> init_pending_;
-  std::uint64_t plan_builds_ = 0;
-  // Plan-build scratch (capacity reused across rebuilds).
-  std::vector<std::int32_t> cons_off_;
-  std::vector<std::int32_t> cons_idx_;
-  std::vector<std::int32_t> cons_fill_;
-
-  // -- Engine runtime state (preallocated by build_plan). ---------------------
-  std::vector<std::int32_t> pending_;  ///< accessed via std::atomic_ref
-  std::vector<std::int32_t> ready_;    ///< ring, capacity order_.size()
-  std::size_t ready_head_ = 0;
-  std::size_t ready_count_ = 0;
-  std::mutex engine_mu_;
-  std::condition_variable engine_cv_;
-  std::atomic<std::int64_t> executed_{0};
-  std::int64_t engine_total_ = 0;
-  std::atomic<bool> engine_failed_{false};
-  std::exception_ptr engine_error_;
-  bool engine_done_ = true;  ///< true between passes: stale helpers exit
-  int active_helpers_ = 0;
-  int submitted_helpers_ = 0;  ///< enqueued on the pool, not yet started
-
-  // -- Completion hooks (backward/apply overlap). -----------------------------
-  BackwardHooks* hooks_ = nullptr;
-  std::vector<Node*> hook_nodes_;
-  std::size_t hook_group_count_ = 0;
-  std::uint64_t hooks_epoch_ = 0;         ///< bumped by set_backward_hooks
-  std::uint64_t group_hooks_epoch_ = 0;   ///< hooks_epoch_ the counts match
-  std::uint64_t group_plan_builds_ = 0;   ///< plan_builds_ the counts match
-  std::vector<std::int32_t> group_init_;
-  std::vector<std::int32_t> group_remaining_;  ///< via std::atomic_ref
-
-  int backward_threads_ = -1;  ///< negative: process default
 };
 
 /// Tape currently installed on this thread (nullptr: heap graph building).
 GraphTape* active_tape();
-
-/// Process-wide switch for the tape fusion pass (DESIGN.md §13). Defaults
-/// to the YF_TAPE_FUSION environment variable ("on"/"off"/"1"/"0"), or on
-/// when unset. Turning fusion off takes effect at each tape's next
-/// begin_step(), which unfuses any active chains in place; trajectories
-/// are bit-identical either way -- this is a memory/throughput knob.
-void set_tape_fusion(bool on);
-bool tape_fusion_enabled();
 
 /// RAII installation of a tape as the thread's active tape. A null tape
 /// is a no-op (whatever was active stays active), so call sites can

@@ -38,7 +38,6 @@ namespace yf::autograd {
 struct Node;
 using NodePtr = std::shared_ptr<Node>;
 class GraphTape;
-struct FusedChain;  // compiled fused-sweep program (autograd/tape.cpp)
 
 /// A node in the dynamically-built computation graph.
 struct Node {
@@ -59,23 +58,6 @@ struct Node {
   std::vector<std::int64_t> ints;   ///< per-step integer payload (labels, indices)
   std::vector<tensor::Tensor> scratch;  ///< op scratch reused across steps
   std::uint64_t visit_epoch = 0;    ///< DFS stamp for the cached backward order
-
-  // -- Parallel backward engine bookkeeping (autograd/tape.hpp). Written
-  // -- by the tape that traverses this node; graphs must not share nodes
-  // -- across concurrently-running backward passes (one tape per thread).
-  std::int32_t order_index = -1;  ///< position in the owning tape's cached order
-  std::int32_t hook_group = -1;   ///< leaf-completion group (backward/apply overlap)
-
-  // -- Tape fusion bookkeeping (DESIGN.md §13). Interior nodes of a fused
-  // -- chain carry no value/grad buffers at all: `fuse_skip` marks them,
-  // -- `fuse_dims` preserves the output shape for replay matching, and the
-  // -- chain tail owns the compiled sweep via `fused`.
-  std::uint8_t fuse_kind = 0;    ///< 1 + core::detail::FusedOpKind, or 0 (not fusible)
-  bool fuse_skip = false;        ///< bufferless chain interior; replay skips compute
-  std::int32_t fuse_chain = -1;  ///< chain slot within the owning tape
-  std::int32_t fuse_step = -1;   ///< step index within the chain program
-  FusedChain* fused = nullptr;   ///< set on the chain *tail* only (tape-owned)
-  std::vector<std::int64_t> fuse_dims;  ///< output dims while the value buffer is dropped
 
   /// Ensure `grad` is allocated (zero-filled) and return it.
   tensor::Tensor& ensure_grad();

@@ -55,11 +55,6 @@ class ParamArena {
 
   std::int64_t offset(std::size_t i) const { return slots_[i].offset; }
   const tensor::Shape& shape(std::size_t i) const { return slots_[i].shape; }
-  /// Scalar count of slot `i` (shard/slot overlap math in the overlap
-  /// drivers; slot i spans [offset(i), offset(i) + slot_size(i))).
-  std::size_t slot_size(std::size_t i) const {
-    return static_cast<std::size_t>(tensor::numel(slots_[i].shape));
-  }
 
   /// Slot index of a flattened parameter; throws if `p` is not in this
   /// arena. With tied weights, duplicates map to the same slot.
@@ -103,6 +98,9 @@ class ParamArena {
     std::int64_t offset;
     tensor::Shape shape;
   };
+  std::size_t slot_size(std::size_t i) const {
+    return static_cast<std::size_t>(tensor::numel(slots_[i].shape));
+  }
 
   std::vector<Slot> slots_;
   std::int64_t total_ = 0;

@@ -1,10 +1,9 @@
 // Checked environment-variable parsing.
 //
 // std::strtol / std::atoi silently map a typo'd value ("fast", "4x") to 0,
-// and 0 is a *meaningful* setting for several knobs (YF_BACKWARD_THREADS=0
-// means "match the pool fan-out"). Every env-int consumer routes through
-// these helpers so a malformed value falls back to the documented default
-// with a one-line warning instead of silently flipping semantics.
+// which would silently turn a typo into a setting. Every env-int consumer
+// routes through these helpers so a malformed value falls back to the
+// documented default with a one-line warning instead.
 #pragma once
 
 #include <cstdint>

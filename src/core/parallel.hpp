@@ -2,9 +2,9 @@
 //
 // One process-wide pool serves every layer that wants concurrency: the
 // span kernels (core/kernels.hpp) partition large elementwise sweeps over
-// it, tensor::matmul parallelises over output rows, and the hogwild
-// trainer (async/threaded_trainer) runs its workers on it instead of
-// spawning fresh OS threads per call.
+// it, tensor::matmul parallelises over output rows, and the parameter
+// server's run_workers (async/param_server) runs its workers on it
+// instead of spawning fresh OS threads per call.
 //
 // Determinism contract: parallel_for only ever partitions *independent*
 // index ranges; callers that need a deterministic reduction order keep the
@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <span>
 
 namespace yf::core {
 
@@ -29,18 +28,6 @@ inline constexpr std::int64_t kDefaultGrain = 1 << 14;
 /// grain before pool dispatch amortizes. Partitioning never changes
 /// elementwise results, so the two grains may differ freely.
 inline constexpr std::int64_t kSimdGrain = 1 << 16;
-
-/// Allocation-free task: a plain function pointer plus context. Raw tasks
-/// land in a preallocated slot ring inside the pool, so enqueueing one
-/// touches no heap -- the submission path of the parallel backward engine
-/// (autograd/tape.hpp), whose steady state must not allocate. The context
-/// must outlive the task's execution; there is no completion handle --
-/// callers track completion themselves (the engine counts executed nodes
-/// and active helpers).
-struct RawTask {
-  void (*fn)(void*) = nullptr;
-  void* ctx = nullptr;
-};
 
 class ThreadPool {
  public:
@@ -57,11 +44,12 @@ class ThreadPool {
 
   /// Grow the pool to at least `n` workers (never shrinks; idle workers
   /// block on a condition variable). Callers that submit
-  /// mutually-blocking task sets (e.g. hogwild workers that rendezvous on
-  /// a lock) must ensure one worker per task first. Growing the pool this
-  /// way does NOT raise the elementwise fan-out cap -- blocking task sets
-  /// need threads, not data-parallel chunks, and fanning 64 hogwild
-  /// threads' worth of chunks onto 4 cores would oversubscribe them.
+  /// mutually-blocking task sets (e.g. parameter-server workers that
+  /// rendezvous on shard locks) must ensure one worker per task first.
+  /// Growing the pool this way does NOT raise the elementwise fan-out cap
+  /// -- blocking task sets need threads, not data-parallel chunks, and
+  /// fanning 64 workers' worth of chunks onto 4 cores would oversubscribe
+  /// them.
   void ensure_workers(std::size_t n);
 
   /// Number of chunks parallel_for may dispatch (excluding the calling
@@ -75,21 +63,7 @@ class ThreadPool {
   void set_fanout(std::size_t n);
 
   /// Enqueue a task; the future rethrows any exception it raised.
-  ///
-  /// COLD PATH: constructing the std::function and the promise/future
-  /// pair heap-allocates per task. The remaining callers are per-run
-  /// setup costs (parallel_for's chunk dispatch, run_workers' one task
-  /// per worker per run) -- anything invoked per training step must go
-  /// through try_submit_batch instead.
   std::future<void> submit(std::function<void()> fn);
-
-  /// Enqueue raw tasks into the preallocated slot ring: no std::function,
-  /// no future, no heap traffic. Returns the number actually enqueued
-  /// (0..tasks.size()); when the ring is full the remainder is simply not
-  /// submitted -- callers for whom helpers are an optimization (the
-  /// backward engine) proceed with fewer. Tasks may start running before
-  /// this returns.
-  std::size_t try_submit_batch(std::span<const RawTask> tasks);
 
   /// True when called from inside a pool worker (used to run nested
   /// parallel constructs inline).
@@ -116,24 +90,6 @@ struct BodyRef {
 
 /// Pool-dispatching slow path; `body` must stay alive for the call.
 void parallel_for_dispatch(std::int64_t n, std::int64_t grain, const BodyRef& body);
-
-/// RAII: mark the calling thread as a pool worker for the scope. The
-/// backward engine installs this on the thread that drives a parallel
-/// pass, so kernels invoked from inside node pullbacks run inline instead
-/// of fanning out onto a pool whose workers are already busy draining the
-/// engine's ready queue (that fan-out could otherwise deadlock: the
-/// chunks would sit behind engine helpers that only finish once the
-/// caller makes progress).
-class ScopedWorkerMark {
- public:
-  ScopedWorkerMark();
-  ~ScopedWorkerMark();
-  ScopedWorkerMark(const ScopedWorkerMark&) = delete;
-  ScopedWorkerMark& operator=(const ScopedWorkerMark&) = delete;
-
- private:
-  bool prev_;
-};
 
 }  // namespace detail
 

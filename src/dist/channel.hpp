@@ -10,10 +10,10 @@
 //   RemoteParamClient   the same calls as wire frames over a TCP
 //                       connection to a MasterServer (dist/client.hpp)
 //
-// -- selected by YF_ENGINE=inproc|socket (channel_engine_from_env), so
-// worker code, the closed-loop YellowFin scenarios, and the trajectory
-// tests run UNCHANGED on both. The contract that makes that meaningful:
-// with one worker, pull/push round-trips are sequential and the socket
+// -- and the caller picks one by constructing it. Worker code, the
+// closed-loop YellowFin scenarios, and the trajectory tests run
+// UNCHANGED on both. The contract that makes that meaningful: with one
+// worker, pull/push round-trips are sequential and the socket
 // serialization is bit-exact (doubles travel as IEEE-754 bit patterns),
 // so a one-worker socket trajectory is EXPECT_EQ-bit-identical to the
 // in-process engine (tests/dist_test.cpp pins this for closed-loop
@@ -73,14 +73,6 @@ class InprocChannel final : public ParamChannel {
  private:
   async::ShardedParamServer* server_;
 };
-
-/// Engine selection for harnesses that can run either side of the
-/// channel: YF_ENGINE=inproc (default) or socket. The bench-only values
-/// "sync" and "server" name in-process engines too and map to kInproc; an
-/// unknown value warns once and falls back to inproc.
-enum class Engine { kInproc, kSocket };
-Engine channel_engine_from_env();
-const char* engine_name(Engine engine);
 
 // ---------------------------------------------------------------------------
 // Worker harness over channels: the run_workers loop (async/param_server)
