@@ -14,7 +14,8 @@
 // bench also reports per-phase wall time (forward_ns / backward_ns /
 // apply_ns averaged per step) as counters, which JsonReporter carries
 // into BENCH_micro_train_step.json next to ns/op; the Tape variants add
-// the workspace high-water mark (workspace_peak_bytes).
+// the workspace high-water mark (workspace_peak_bytes), and both LM
+// variants report the autograd nodes one step builds (nodes_per_step).
 //
 // Args: the LM runs {batch, seq_len_plus1}, the quadratic runs
 // {rows, dim}.
@@ -104,6 +105,16 @@ struct LmTask {
     opt = std::make_unique<yf::tuner::YellowFin>(model->parameters());
   }
 
+  /// Autograd nodes one step builds: op nodes including constants,
+  /// parameters (leaves) excluded. Counted by recording one forward on a
+  /// scratch tape; the heap path builds the same nodes.
+  double nodes_per_step() const {
+    ag::GraphTape tape;
+    ag::TapeScope scope(&tape);
+    (void)model->loss(batches[0], batch, seq_plus1);
+    return static_cast<double>(tape.recorded_nodes());
+  }
+
   double step(std::size_t i, PhaseClock& clock) {
     opt->zero_grad();
     ag::Variable loss;
@@ -126,6 +137,7 @@ void BM_LmTrainStep_Heap(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations());
   clock.report(state);
+  state.counters["nodes_per_step"] = benchmark::Counter(task.nodes_per_step());
 }
 
 void BM_LmTrainStep_Tape(benchmark::State& state) {
@@ -149,6 +161,7 @@ void BM_LmTrainStep_Tape(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   clock.report(state);
   report_workspace_peak(state, tape);
+  state.counters["nodes_per_step"] = benchmark::Counter(task.nodes_per_step());
 }
 
 BENCHMARK(BM_LmTrainStep_Heap)->Args({4, 9})->Args({8, 17});

@@ -5,6 +5,7 @@
 
 #include "autograd/tape.hpp"
 #include "core/conv_math.hpp"
+#include "core/lstm_math.hpp"
 #include "core/kernels.hpp"
 #include "tensor/ops.hpp"
 
@@ -449,6 +450,58 @@ Variable add_row_broadcast(const Variable& a, const Variable& bias) {
         t::sum_rows_into(colsum, n.grad);
         bn->ensure_grad().add_(colsum);
       }
+    };
+  }
+  return Variable(std::move(f.handle));
+}
+
+Variable lstm_cell(const Variable& x, const Variable& h, const Variable& c, const Variable& w_x,
+                   const Variable& w_h, const Variable& b) {
+  const auto& xv = x.value();
+  const auto& hv = h.value();
+  const auto& wxv = w_x.value();
+  const auto& whv = w_h.value();
+  if (xv.ndim() != 2 || hv.ndim() != 2) {
+    throw std::invalid_argument("lstm_cell: expected 2-D x [B,I] and h [B,H], got " +
+                                t::to_string(xv.shape()) + " and " + t::to_string(hv.shape()));
+  }
+  const auto rows = xv.dim(0), in = xv.dim(1), hid = hv.dim(1);
+  auto is = [](const t::Tensor& v, std::int64_t d0, std::int64_t d1) {
+    return v.ndim() == 2 && v.dim(0) == d0 && v.dim(1) == d1;
+  };
+  if (hv.dim(0) != rows || !is(c.value(), rows, hid) || !is(wxv, in, 4 * hid) ||
+      !is(whv, hid, 4 * hid) || b.value().ndim() != 1 || b.value().dim(0) != 4 * hid) {
+    throw std::invalid_argument("lstm_cell: want x [B,I], h/c [B,H], w_x [I,4H], w_h [H,4H], "
+                                "b [4H]; got x " + t::to_string(xv.shape()) + ", h " +
+                                t::to_string(hv.shape()) + ", c " +
+                                t::to_string(c.value().shape()) + ", w_x " +
+                                t::to_string(wxv.shape()) + ", w_h " + t::to_string(whv.shape()) +
+                                ", b " + t::to_string(b.value().shape()));
+  }
+  auto xn = x.node();
+  auto hn = h.node();
+  auto cn = c.node();
+  auto wxn = w_x.node();
+  auto whn = w_h.node();
+  auto bn = b.node();
+  const NodePtr parents[] = {xn, hn, cn, wxn, whn, bn};
+  const std::int64_t dims[] = {rows, 2 * hid};
+  auto f = make_frame("lstm_cell", parents, dims);
+  if (f.fresh) {
+    f.node->scratch.push_back(make_scratch({rows, 4 * hid}));  // [0] post-activation gates
+    f.node->scratch.push_back(make_scratch({rows, hid}));      // [1] tanh(c_next)
+  }
+  double* out = f.node->value.data().data();
+  core::lstm_cell_forward(xv, hv, c.value(), wxv, whv, b.value(), f.node->scratch[0],
+                          f.node->scratch[1], out, out + hid, 2 * hid);
+  if (f.fresh && f.node->requires_grad) {
+    f.node->backward_fn = [xn, hn, cn, wxn, whn, bn, hid](Node& n) {
+      auto target = [](const NodePtr& p) { return p->requires_grad ? &p->ensure_grad() : nullptr; };
+      const core::LstmCellGrads grads{target(xn), target(hn), target(cn),
+                                      target(wxn), target(whn), target(bn)};
+      const double* g = n.grad.data().data();
+      core::lstm_cell_backward(g, g + hid, 2 * hid, n.scratch[0], n.scratch[1], xn->value,
+                               hn->value, cn->value, wxn->value, whn->value, grads);
     };
   }
   return Variable(std::move(f.handle));

@@ -68,6 +68,14 @@ Variable transpose(const Variable& a);
 Variable add_row_broadcast(const Variable& a, const Variable& bias);
 
 // -- Neural-net specific. ------------------------------------------------------
+/// One LSTM cell step as a single node (core/lstm_math.hpp): x [B, I],
+/// h and c [B, H], w_x [I, 4H], w_h [H, 4H], b [4H], gate layout
+/// i|f|g|o. The value is [B, 2H] = [h_next | c_next]; read h and c back
+/// with slice_cols. The pullback is hand-written over the cached gates
+/// and tanh(c_next).
+Variable lstm_cell(const Variable& x, const Variable& h, const Variable& c, const Variable& w_x,
+                   const Variable& w_h, const Variable& b);
+
 /// Mean cross-entropy of logits [B, C] against integer labels (size B).
 /// Numerically stable log-sum-exp formulation.
 Variable softmax_cross_entropy(const Variable& logits, const std::vector<std::int64_t>& labels);

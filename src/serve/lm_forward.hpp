@@ -1,12 +1,13 @@
 // Tape-free LSTM-LM forward for serving (DESIGN.md §11).
 //
-// Mirrors LSTMLanguageModel::logits() kernel-for-kernel -- same `_into`
-// tensor calls, same loop bodies as the autograd ops' value paths -- over
-// weights read from a pinned SnapshotStore slot instead of the live
-// arena. Because both paths execute the identical kernel sequence on
-// identical inputs, served logits are bit-identical to the training
-// tape's forward for the same snapshot (pinned by EXPECT_EQ in
-// tests/serve_test.cpp).
+// Mirrors LSTMLanguageModel::logits() over weights read from a pinned
+// SnapshotStore slot instead of the live arena. The LSTM cell step is the
+// training op's own kernel (core::lstm_cell_forward, core/lstm_math.hpp);
+// the embedding gather and output projection are the same `_into` tensor
+// calls and loop bodies as the autograd ops' value paths. Because both
+// paths execute the identical kernel sequence on identical inputs, served
+// logits are bit-identical to the training forward for the same snapshot
+// (pinned by EXPECT_EQ in tests/serve_test.cpp).
 //
 // All buffers live in per-batch-size Plans acquired from an owned
 // Workspace; after warm_all() a forward performs zero heap allocations.

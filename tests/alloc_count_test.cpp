@@ -48,7 +48,10 @@ void* counted_aligned_alloc(std::size_t size, std::size_t align) {
   return p;
 }
 
-void counted_free(void* p) {
+// Out of line: inlined into the replaced operator delete, the std::free
+// call would meet pointers from the replaced operator new in the same
+// function, which gcc's -Wmismatched-new-delete reports as a mismatch.
+[[gnu::noinline]] void counted_free(void* p) {
   if (p == nullptr) return;
   yf::core::detail::note_free();
   std::free(p);

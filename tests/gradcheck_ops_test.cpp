@@ -129,6 +129,26 @@ TEST(Gradcheck, Conv2dAllInputs) {
   EXPECT_TRUE(result.ok) << result.detail;
 }
 
+TEST(Gradcheck, LstmCellAllInputs) {
+  // Finite differences on each of x, h, c, w_x, w_h and b. The loss
+  // weighs h and c differently so an error that swapped or merged the
+  // two output blocks would show.
+  t::Rng rng(41);
+  auto x = ag::Variable(rng.normal_tensor({2, 3}), true);
+  auto h = ag::Variable(rng.normal_tensor({2, 4}, 0.0, 0.5), true);
+  auto c = ag::Variable(rng.normal_tensor({2, 4}), true);
+  auto w_x = ag::Variable(rng.normal_tensor({3, 16}, 0.0, 0.5), true);
+  auto w_h = ag::Variable(rng.normal_tensor({4, 16}, 0.0, 0.5), true);
+  auto b = ag::Variable(rng.normal_tensor({16}), true);
+  const auto weight = ag::Variable(rng.normal_tensor({2, 8}));
+  auto fn = [&weight](const std::vector<ag::Variable>& in) {
+    auto hc = ag::lstm_cell(in[0], in[1], in[2], in[3], in[4], in[5]);
+    return ag::sum(ag::mul(ag::square(hc), weight));
+  };
+  const auto result = ag::gradcheck(fn, {x, h, c, w_x, w_h, b}, 1e-5, 1e-6, 1e-4);
+  EXPECT_TRUE(result.ok) << result.detail;
+}
+
 TEST(Gradcheck, Conv2dStride2) {
   t::Rng rng(37);
   auto x = ag::Variable(rng.normal_tensor({1, 2, 6, 6}), true);
