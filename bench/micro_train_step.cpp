@@ -1,6 +1,6 @@
 // Full training-step microbenchmarks: forward + backward + optimizer
-// apply for the LSTM language model and an autograd quadratic
-// (least-squares) model, on the two graph engines:
+// apply for the LSTM language model, the MiniResNet+BN image model and
+// an autograd quadratic (least-squares) model, on the two graph engines:
 //
 //   BM_*_Heap  -- the historical per-step shared_ptr graph: every op
 //                 allocates a fresh node, value and grad tensor;
@@ -17,8 +17,9 @@
 // the workspace high-water mark (workspace_peak_bytes), and both LM
 // variants report the autograd nodes one step builds (nodes_per_step).
 //
-// Args: the LM runs {batch, seq_len_plus1}, the quadratic runs
-// {rows, dim}.
+// Args: the LM runs {batch, seq_len_plus1}, the ResNet {batch, image
+// side} (the cnn_async shape: 4 base channels, one block per stage),
+// the quadratic {rows, dim}.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -30,8 +31,11 @@
 #include "autograd/tape.hpp"
 #include "common.hpp"
 #include "data/markov_text.hpp"
+#include "data/synth_cifar.hpp"
 #include "nn/language_model.hpp"
+#include "nn/resnet.hpp"
 #include "optim/momentum_sgd.hpp"
+#include "tensor/ops.hpp"
 #include "tensor/random.hpp"
 #include "tuner/yellowfin.hpp"
 
@@ -166,6 +170,78 @@ void BM_LmTrainStep_Tape(benchmark::State& state) {
 
 BENCHMARK(BM_LmTrainStep_Heap)->Args({4, 9})->Args({8, 17});
 BENCHMARK(BM_LmTrainStep_Tape)->Args({4, 9})->Args({8, 17});
+
+struct ResNetTask {
+  std::vector<yf::data::ImageBatch> batches;
+  ag::Variable images;  ///< persistent input leaf, refilled per step
+  std::unique_ptr<nn::MiniResNet> model;
+  std::unique_ptr<yf::tuner::YellowFin> opt;
+
+  ResNetTask(std::int64_t batch, std::int64_t side) {
+    yf::data::SynthCifarConfig dcfg;
+    dcfg.height = side;
+    dcfg.width = side;
+    yf::data::SynthCifar dataset(dcfg);
+    t::Rng data_rng(19);
+    for (int i = 0; i < 4; ++i) batches.push_back(dataset.sample(batch, data_rng));
+    images = ag::Variable(batches[0].images.clone());
+    nn::MiniResNetConfig cfg;
+    cfg.base_channels = 4;
+    cfg.blocks_per_stage = 1;
+    t::Rng model_rng(1);
+    model = std::make_unique<nn::MiniResNet>(cfg, model_rng);
+    opt = std::make_unique<yf::tuner::YellowFin>(model->parameters());
+  }
+
+  double step(std::size_t i, PhaseClock& clock) {
+    const auto& b = batches[i % batches.size()];
+    t::copy_into(images.value(), b.images);
+    opt->zero_grad();
+    ag::Variable loss;
+    const double out = clock.timed(&PhaseClock::forward_ns, [&] {
+      loss = ag::softmax_cross_entropy(model->forward(images), b.labels);
+      return loss.value().item();
+    });
+    clock.timed(&PhaseClock::backward_ns, [&] { loss.backward(); });
+    clock.timed(&PhaseClock::apply_ns, [&] { opt->step(); });
+    return out;
+  }
+};
+
+void BM_ResNetTrainStep_Heap(benchmark::State& state) {
+  ResNetTask task(state.range(0), state.range(1));
+  PhaseClock clock;
+  std::size_t i = 0;
+  double sink = 0.0;
+  for (auto _ : state) sink += task.step(i++, clock);
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations());
+  clock.report(state);
+}
+
+void BM_ResNetTrainStep_Tape(benchmark::State& state) {
+  ResNetTask task(state.range(0), state.range(1));
+  ag::GraphTape tape;
+  ag::TapeScope scope(&tape);
+  PhaseClock warmup_clock, clock;
+  std::size_t i = 0;
+  double sink = 0.0;
+  for (int w = 0; w < 4; ++w) {
+    tape.begin_step();
+    sink += task.step(i++, warmup_clock);
+  }
+  for (auto _ : state) {
+    tape.begin_step();
+    sink += task.step(i++, clock);
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations());
+  clock.report(state);
+  report_workspace_peak(state, tape);
+}
+
+BENCHMARK(BM_ResNetTrainStep_Heap)->Args({32, 8});
+BENCHMARK(BM_ResNetTrainStep_Tape)->Args({32, 8});
 
 struct QuadraticTask {
   ag::Variable w, x, y;

@@ -5,8 +5,10 @@
 
 #include "autograd/tape.hpp"
 #include "core/conv_math.hpp"
-#include "core/lstm_math.hpp"
+#include "core/gemm.hpp"
 #include "core/kernels.hpp"
+#include "core/lstm_math.hpp"
+#include "core/workspace.hpp"
 #include "tensor/ops.hpp"
 
 // Every op here follows the same shape (DESIGN.md §8):
@@ -34,6 +36,24 @@ namespace {
 
 std::span<const std::int64_t> dims_of(const t::Tensor& x) {
   return {x.shape().data(), x.shape().size()};
+}
+
+/// A fused op's gradient target for parent `p`: its grad buffer, or null
+/// when it needs none.
+t::Tensor* grad_target(const NodePtr& p) {
+  return p->requires_grad ? &p->ensure_grad() : nullptr;
+}
+
+/// grad += op(A)·op(B), the product formed in the per-thread transient
+/// workspace (core::transient_workspace) rather than a per-node buffer.
+void accumulate_product(t::Tensor& grad, core::GemmVariant v, const t::Tensor& a,
+                        const t::Tensor& b, std::int64_t m, std::int64_t n, std::int64_t k) {
+  core::Workspace& ws = core::transient_workspace();
+  const auto mark = ws.mark();
+  const auto prod = ws.acquire_span(m * n);
+  core::gemm(v, prod.data(), a.data().data(), b.data().data(), m, n, k);
+  core::axpy(grad.data(), prod, 1.0);
+  ws.rollback(mark);
 }
 
 }  // namespace
@@ -356,19 +376,13 @@ Variable matmul(const Variable& a, const Variable& b) {
   t::matmul_into(f.node->value, av, bv);
   if (f.fresh && f.node->requires_grad) {
     // dA = dC @ Bᵀ via the NT variant, dB = Aᵀ @ dC via TN: the packing
-    // step absorbs the transpose, so the only scratch left is the
-    // product buffer each gradient accumulates from.
-    t::Tensor dA, dB;
-    if (an->requires_grad) dA = make_scratch({m, k});
-    if (bn->requires_grad) dB = make_scratch({k, n});
-    f.node->backward_fn = [an, bn, dA, dB](Node& nn) mutable {
+    // step absorbs the transpose.
+    f.node->backward_fn = [an, bn, m, n, k](Node& nn) {
       if (an->requires_grad) {
-        t::matmul_nt_into(dA, nn.grad, bn->value);
-        an->ensure_grad().add_(dA);
+        accumulate_product(an->ensure_grad(), core::GemmVariant::kNT, nn.grad, bn->value, m, k, n);
       }
       if (bn->requires_grad) {
-        t::matmul_tn_into(dB, an->value, nn.grad);
-        bn->ensure_grad().add_(dB);
+        accumulate_product(bn->ensure_grad(), core::GemmVariant::kTN, an->value, nn.grad, k, n, m);
       }
     };
   }
@@ -395,17 +409,12 @@ Variable matmul_nt(const Variable& a, const Variable& b) {
   t::matmul_nt_into(f.node->value, av, bv);
   if (f.fresh && f.node->requires_grad) {
     // C = A Bᵀ: dA = dC @ B (plain NN), dB = dCᵀ @ A (TN).
-    t::Tensor dA, dB;
-    if (an->requires_grad) dA = make_scratch({m, k});
-    if (bn->requires_grad) dB = make_scratch({n, k});
-    f.node->backward_fn = [an, bn, dA, dB](Node& nn) mutable {
+    f.node->backward_fn = [an, bn, m, n, k](Node& nn) {
       if (an->requires_grad) {
-        t::matmul_into(dA, nn.grad, bn->value);
-        an->ensure_grad().add_(dA);
+        accumulate_product(an->ensure_grad(), core::GemmVariant::kNN, nn.grad, bn->value, m, k, n);
       }
       if (bn->requires_grad) {
-        t::matmul_tn_into(dB, nn.grad, an->value);
-        bn->ensure_grad().add_(dB);
+        accumulate_product(bn->ensure_grad(), core::GemmVariant::kTN, nn.grad, an->value, n, k, m);
       }
     };
   }
@@ -496,9 +505,8 @@ Variable lstm_cell(const Variable& x, const Variable& h, const Variable& c, cons
                           f.node->scratch[1], out, out + hid, 2 * hid);
   if (f.fresh && f.node->requires_grad) {
     f.node->backward_fn = [xn, hn, cn, wxn, whn, bn, hid](Node& n) {
-      auto target = [](const NodePtr& p) { return p->requires_grad ? &p->ensure_grad() : nullptr; };
-      const core::LstmCellGrads grads{target(xn), target(hn), target(cn),
-                                      target(wxn), target(whn), target(bn)};
+      const core::LstmCellGrads grads{grad_target(xn),  grad_target(hn),  grad_target(cn),
+                                      grad_target(wxn), grad_target(whn), grad_target(bn)};
       const double* g = n.grad.data().data();
       core::lstm_cell_backward(g, g + hid, 2 * hid, n.scratch[0], n.scratch[1], xn->value,
                                hn->value, cn->value, wxn->value, whn->value, grads);
@@ -627,13 +635,9 @@ Variable embedding(const Variable& weight, const std::vector<std::int64_t>& indi
   return Variable(std::move(f.handle));
 }
 
-// Conv value-path math (ConvDims/im2col/col2im/bias-transpose) lives in
-// core/conv_math.hpp, shared verbatim with the tape-free serving engine
-// so served activations are bit-identical to this forward.
-using core::Conv2dDims;
-using core::col2im_add;
-using core::im2col_into;
-
+// Conv math (channel-major im2col, the three GEMMs, col2im) lives in
+// core/conv_math.hpp, shared with the tape-free serving engine so served
+// activations are bit-identical to this forward.
 Variable conv2d(const Variable& input, const Variable& weight, const Variable& bias,
                 std::int64_t stride, std::int64_t pad) {
   const auto& x = input.value();
@@ -642,12 +646,10 @@ Variable conv2d(const Variable& input, const Variable& weight, const Variable& b
   if (x.ndim() != 4 || w.ndim() != 4 || b.ndim() != 1) {
     throw std::invalid_argument("conv2d: expected input [N,C,H,W], weight [F,C,KH,KW], bias [F]");
   }
-  if (stride < 1) throw std::invalid_argument("conv2d: stride must be >= 1");
-  const Conv2dDims d = core::conv2d_dims(x.dim(0), x.dim(1), x.dim(2), x.dim(3), w.dim(0),
-                                         w.dim(2), w.dim(3), stride, pad);
+  const core::Conv2dDims d = core::conv2d_dims(x.dim(0), x.dim(1), x.dim(2), x.dim(3), w.dim(0),
+                                               w.dim(2), w.dim(3), stride, pad);
   if (w.dim(1) != d.c) throw std::invalid_argument("conv2d: channel mismatch");
   if (b.dim(0) != d.f) throw std::invalid_argument("conv2d: bias size mismatch");
-  if (d.oh < 1 || d.ow < 1) throw std::invalid_argument("conv2d: kernel larger than padded input");
 
   auto xn = input.node();
   auto wn = weight.node();
@@ -656,59 +658,14 @@ Variable conv2d(const Variable& input, const Variable& weight, const Variable& b
   const std::int64_t dims[] = {d.n, d.f, d.oh, d.ow};
   const double attrs[] = {static_cast<double>(stride), static_cast<double>(pad)};
   auto f = make_frame("conv2d", parents, dims, attrs);
-  const std::int64_t rows = d.n * d.oh * d.ow;
-  const std::int64_t ckk = d.c * d.kh * d.kw;
-  if (f.fresh) {
-    f.node->scratch.push_back(make_scratch({rows, ckk}));      // [0] im2col matrix
-    f.node->scratch.push_back(wn->value.reshape({d.f, ckk}));  // [1] weight view [F, CKK]
-    f.node->scratch.push_back(make_scratch({rows, d.f}));      // [2] forward product col @ Wᵀ
-  }
-  // The weight view aliases the parameter's storage; if the parameter was
-  // migrated (e.g. a new ParamArena flattened it), re-point the view.
-  if (!f.node->scratch[1].shares_storage_with(wn->value)) {
-    f.node->scratch[1] = wn->value.reshape({d.f, ckk});
-  }
-  t::Tensor& col = f.node->scratch[0];
-  const t::Tensor& wmat = f.node->scratch[1];
-
-  im2col_into(col, x, d);
-  t::Tensor& outmat = f.node->scratch[2];
-  // col @ Wᵀ through the NT variant: the packing step absorbs the
-  // transpose that used to be materialized into a [CKK, F] scratch.
-  t::matmul_nt_into(outmat, col, wmat);
-  // Add bias and transpose to NCHW.
-  core::conv2d_bias_nchw_into(f.node->value, outmat, b, d);
+  // The patch matrix stays on the node: the dW product reads it.
+  if (f.fresh) f.node->scratch.push_back(make_scratch({d.patch(), d.pixels()}));
+  core::conv2d_forward(x, w, b, d, f.node->scratch[0], f.node->value);
 
   if (f.fresh && f.node->requires_grad) {
-    t::Tensor doutmat = make_scratch({rows, d.f});
-    t::Tensor bias_sum, dw, dcol;
-    if (bn->requires_grad) bias_sum = make_scratch({d.f});
-    if (wn->requires_grad) dw = make_scratch({d.f, ckk});
-    if (xn->requires_grad) dcol = make_scratch({rows, ckk});
-    t::Tensor col_ref = col;  // shares storage with scratch[0]
-    f.node->backward_fn = [xn, wn, bn, d, col_ref, doutmat, bias_sum, dw,
-                           dcol](Node& n) mutable {
-      // Reassemble dOut into matrix form [N*OH*OW, F].
-      for (std::int64_t nn = 0; nn < d.n; ++nn)
-        for (std::int64_t oy = 0; oy < d.oh; ++oy)
-          for (std::int64_t ox = 0; ox < d.ow; ++ox) {
-            const auto row = (nn * d.oh + oy) * d.ow + ox;
-            for (std::int64_t fi = 0; fi < d.f; ++fi)
-              doutmat[row * d.f + fi] = n.grad[((nn * d.f + fi) * d.oh + oy) * d.ow + ox];
-          }
-      if (bn->requires_grad) {
-        t::sum_rows_into(bias_sum, doutmat);
-        bn->ensure_grad().add_(bias_sum);
-      }
-      if (wn->requires_grad) {
-        t::matmul_tn_into(dw, doutmat, col_ref);  // dOutᵀ @ col = [F, CKK]
-        core::axpy(wn->ensure_grad().data(), dw.data(), 1.0);
-      }
-      if (xn->requires_grad) {
-        // n.scratch[1] is the weight view, refreshed by the forward pass.
-        t::matmul_into(dcol, doutmat, n.scratch[1]);  // [N*OH*OW, CKK]
-        col2im_add(dcol, d, xn->ensure_grad());
-      }
+    f.node->backward_fn = [xn, wn, bn, d](Node& n) {
+      const core::Conv2dGrads grads{grad_target(xn), grad_target(wn), grad_target(bn)};
+      core::conv2d_backward(n.grad, n.scratch[0], wn->value, d, grads);
     };
   }
   return Variable(std::move(f.handle));

@@ -158,10 +158,14 @@ void gemm_packed(GemmVariant variant, double* c, const double* a, const double* 
 
   Workspace& ws = pack_workspace();
   const Workspace::Marker outer = ws.mark();
-  // One B slab (reused across k-panels) sized for the widest slab.
-  const std::int64_t nc_max = std::min(n, kGemmNC);
-  const std::int64_t bp_cols = ceil_div(nc_max, kGemmNR) * kGemmNR;
-  double* bp = ws.acquire_span(kGemmKC * bp_cols).data();
+  // One B slab (reused across k-panels) sized for the widest slab and
+  // the deepest panel; one A block per worker sized for the tallest
+  // block. Both follow the product, not the blocking constants, so a
+  // shallow or skinny call holds no more pack storage than it fills.
+  const std::int64_t kc_max = std::min(k, kGemmKC);
+  const std::int64_t bp_cols = ceil_div(std::min(n, kGemmNC), kGemmNR) * kGemmNR;
+  const std::int64_t ap_rows = ceil_div(std::min(m, kGemmMC), kGemmMR) * kGemmMR;
+  double* bp = ws.acquire_span(kc_max * bp_cols).data();
 
   const std::int64_t row_blocks = ceil_div(m, kGemmMC);
   for (std::int64_t jc = 0; jc < n; jc += kGemmNC) {
@@ -179,7 +183,7 @@ void gemm_packed(GemmVariant variant, double* c, const double* a, const double* 
       parallel_for(row_blocks, block_grain, [&](std::int64_t blo, std::int64_t bhi) {
         Workspace& wws = pack_workspace();
         const Workspace::Marker mark = wws.mark();
-        double* ap = wws.acquire_span(kGemmMC * kGemmKC).data();
+        double* ap = wws.acquire_span(ap_rows * kc_max).data();
         for (std::int64_t blk = blo; blk < bhi; ++blk) {
           const std::int64_t ic = blk * kGemmMC;
           const std::int64_t mc = std::min(kGemmMC, m - ic);

@@ -13,13 +13,6 @@ namespace t = yf::tensor;
 
 namespace {
 
-/// Per-thread transient storage for the h_prev @ w_h product, dz and the
-/// pullback's GEMM products; every call rolls back to its entry marker.
-Workspace& transient_workspace() {
-  static thread_local Workspace ws;
-  return ws;
-}
-
 /// Same expressions as tensor::sigmoid_into / tanh_into, so the cell's
 /// activations round exactly like the elementwise ops they replace.
 double sigmoid(double v) { return 1.0 / (1.0 + std::exp(-v)); }

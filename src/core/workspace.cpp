@@ -65,6 +65,11 @@ tensor::Tensor Workspace::acquire(std::span<const std::int64_t> dims) {
   return t;
 }
 
+Workspace& transient_workspace() {
+  static thread_local Workspace ws;
+  return ws;
+}
+
 void Workspace::rollback(const Marker& m) {
   const bool in_range =
       m.block < blocks_.size() ? m.offset <= blocks_[m.block].size() : m.block == blocks_.size();

@@ -98,4 +98,11 @@ class Workspace {
   std::int64_t capacity_ = 0;
 };
 
+/// Per-thread workspace for the transient buffers of one kernel call --
+/// GEMM products a pullback accumulates from, the conv output and
+/// gradient transposes, the LSTM cell's dz. A caller marks it on entry
+/// and rolls back before returning, so nothing is held between calls
+/// and the storage is shared by every op that runs on the thread.
+Workspace& transient_workspace();
+
 }  // namespace yf::core

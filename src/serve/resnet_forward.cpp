@@ -81,12 +81,9 @@ ResNetForward::ConvStep ResNetForward::make_conv(const nn::Conv2d& conv,
   const auto& wt = conv.weight.value();
   ConvStep s;
   s.d = core::conv2d_dims(n, c, h, w, wt.dim(0), wt.dim(2), wt.dim(3), conv.stride(), conv.pad());
-  const std::int64_t ckk = s.d.c * s.d.kh * s.d.kw;
-  const std::int64_t rows = s.d.n * s.d.oh * s.d.ow;
-  s.wmat = slot_views(*store_, arena, conv.weight, {s.d.f, ckk});
+  s.wmat = slot_views(*store_, arena, conv.weight, {s.d.f, s.d.patch()});
   s.bias = slot_views(*store_, arena, conv.bias, {s.d.f});
-  s.col = ws_.acquire({rows, ckk});
-  s.outmat = ws_.acquire({rows, s.d.f});
+  s.colT = ws_.acquire({s.d.patch(), s.d.pixels()});
   s.out = ws_.acquire({s.d.n, s.d.f, s.d.oh, s.d.ow});
   return s;
 }
@@ -110,9 +107,8 @@ ResNetForward::BnStep ResNetForward::make_bn(const nn::BatchNorm2d& bn,
 }
 
 const t::Tensor& ResNetForward::run_conv(ConvStep& s, const t::Tensor& x, int slot) {
-  core::im2col_into(s.col, x, s.d);
-  t::matmul_nt_into(s.outmat, s.col, s.wmat[static_cast<std::size_t>(slot)]);
-  core::conv2d_bias_nchw_into(s.out, s.outmat, s.bias[static_cast<std::size_t>(slot)], s.d);
+  const auto i = static_cast<std::size_t>(slot);
+  core::conv2d_forward(x, s.wmat[i], s.bias[i], s.d, s.colT, s.out);
   return s.out;
 }
 

@@ -1,16 +1,17 @@
 // Tape-free MiniResNet forward for serving (DESIGN.md §11).
 //
 // Mirrors MiniResNet::forward() kernel-for-kernel over weights read from a
-// pinned SnapshotStore slot: conv/BN/pool value loops come from
-// core/conv_math.hpp -- the same functions the autograd ops call -- and
-// the GEMMs are the same `_into` variants, so served logits are
-// bit-identical to the training forward on identical inputs.
+// pinned SnapshotStore slot: conv (core::conv2d_forward), BN and pool
+// come from core/conv_math.hpp -- the same functions the autograd ops
+// call -- and the head GEMM is the same `_into` variant, so served logits
+// are bit-identical to the training forward on identical inputs.
 //
 // Batch statistics make BN output depend on batch composition, so the
 // batch size (and image geometry) is fixed at construction; serving a
 // BN ResNet coalesces only full fixed-size batches. All buffers come from
-// an owned Workspace; after warm() a forward allocates nothing. One
-// instance is driven by one thread at a time.
+// an owned Workspace (the conv's transient products from the serving
+// thread's core::transient_workspace); after warm() a forward allocates
+// nothing. One instance is driven by one thread at a time.
 #pragma once
 
 #include <cstdint>
@@ -47,12 +48,12 @@ class ResNetForward {
   std::int64_t num_classes() const { return num_classes_; }
 
  private:
-  /// One convolution: fixed dims + per-slot weight/bias views + scratch.
+  /// One convolution: fixed dims + per-slot weight/bias views + buffers.
   struct ConvStep {
     core::Conv2dDims d;
     std::vector<tensor::Tensor> wmat;  ///< per slot, [F, C*KH*KW]
     std::vector<tensor::Tensor> bias;  ///< per slot, [F]
-    tensor::Tensor col, outmat, out;
+    tensor::Tensor colT, out;          ///< patch matrix, output
   };
   /// One training-mode batch norm over the conv output geometry.
   struct BnStep {

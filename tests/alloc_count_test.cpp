@@ -18,7 +18,9 @@
 #include "core/alloc_count.hpp"
 #include "core/parallel.hpp"
 #include "data/markov_text.hpp"
+#include "data/synth_cifar.hpp"
 #include "nn/language_model.hpp"
+#include "nn/resnet.hpp"
 #include "optim/momentum_sgd.hpp"
 #include "serve/engine.hpp"
 #include "tensor/ops.hpp"
@@ -215,6 +217,52 @@ TEST(AllocCount, GemmPackingIsAllocationFreeInSteadyState) {
   });
   EXPECT_EQ(steps_allocs, 0u)
       << "packed-GEMM training steps must not touch the heap after warm-up";
+  EXPECT_TRUE(std::isfinite(sink));
+}
+
+TEST(AllocCount, ResNetBatchNormTrainStepIsAllocationFreeAfterWarmup) {
+  // The cnn_async model: conv (channel-major patch matrix on the node,
+  // output/gradient transposes and GEMM products from the per-thread
+  // transient workspace), batch norm, pooling, linear head.
+  force_inline_parallelism();
+  yf::data::SynthCifarConfig dcfg;
+  dcfg.height = 8;
+  dcfg.width = 8;
+  yf::data::SynthCifar dataset(dcfg);
+  t::Rng data_rng(5);
+  std::vector<yf::data::ImageBatch> batches;
+  for (int i = 0; i < 3; ++i) batches.push_back(dataset.sample(8, data_rng));
+
+  nn::MiniResNetConfig cfg;
+  cfg.base_channels = 4;
+  cfg.blocks_per_stage = 1;
+  cfg.with_batchnorm = true;
+  t::Rng model_rng(2);
+  nn::MiniResNet model(cfg, model_rng);
+  yf::optim::MomentumSGD opt(model.parameters(), 0.05, 0.9);
+
+  ag::GraphTape tape;
+  ag::TapeScope scope(&tape);
+  // One persistent input leaf, refilled per step: the allocation
+  // contract covers the training step, not the data pipeline.
+  ag::Variable images(batches[0].images.clone());
+  double sink = 0.0;
+  auto step = [&](int i) {
+    tape.begin_step();
+    const auto& b = batches[static_cast<std::size_t>(i) % batches.size()];
+    t::copy_into(images.value(), b.images);
+    opt.zero_grad();
+    auto loss = ag::softmax_cross_entropy(model.forward(images), b.labels);
+    loss.backward();
+    opt.step();
+    sink += loss.value().item();
+  };
+  for (int i = 0; i < 3; ++i) step(i);  // warm-up: record + size workspaces
+
+  const auto n = allocations_during([&] {
+    for (int i = 3; i < 11; ++i) step(i);
+  });
+  EXPECT_EQ(n, 0u) << "steady-state ResNet+BN train steps must not touch the heap";
   EXPECT_TRUE(std::isfinite(sink));
 }
 

@@ -262,6 +262,23 @@ TEST(Autograd, Conv2dRejectsBadShapes) {
   EXPECT_THROW(ag::conv2d(x, w, b, 1, 1), std::invalid_argument);
 }
 
+TEST(Autograd, Conv2dRejectsKernelLargerThanUnpaddedInput) {
+  // (2 - 3) / 2 + 1 truncates to 1: without the check this computed a
+  // 1x1 output as if the input had been padded.
+  auto x = ag::Variable(t::Tensor::full({1, 1, 2, 2}, 1.0), true);
+  auto w = ag::Variable(t::Tensor::full({1, 1, 3, 3}, 1.0), true);
+  auto b = ag::Variable(t::Tensor({1}), true);
+  EXPECT_THROW(ag::conv2d(x, w, b, /*stride=*/2, /*pad=*/0), std::invalid_argument);
+}
+
+TEST(Autograd, Conv2dRejectsNegativePad) {
+  // pad = -1 used to crop the input silently.
+  auto x = ag::Variable(t::Tensor::full({1, 1, 5, 5}, 1.0), true);
+  auto w = ag::Variable(t::Tensor::full({1, 1, 3, 3}, 1.0), true);
+  auto b = ag::Variable(t::Tensor({1}), true);
+  EXPECT_THROW(ag::conv2d(x, w, b, /*stride=*/1, /*pad=*/-1), std::invalid_argument);
+}
+
 TEST(Autograd, GlobalAvgPool) {
   auto x = ag::Variable(t::Tensor({1, 2, 2, 2}, {1, 2, 3, 4, 10, 20, 30, 40}), true);
   auto y = ag::global_avg_pool(x);
